@@ -69,12 +69,12 @@ def _client_worker(address, patterns, out, errors):
     """One benchmark client: its own connection, its own latencies."""
     try:
         with DaemonClient(address, timeout=60.0) as client:
-            ids = {}
+            ids, stamps = {}, {}
             for i, pattern in enumerate(patterns):
                 job_id = "p%d" % i
                 ids[job_id] = pattern
+                stamps[job_id] = time.perf_counter()
                 client.submit("pattern", pattern, job_id=job_id)
-            stamps = {job_id: time.perf_counter() for job_id in ids}
             outcomes = {}
             while len(outcomes) < len(ids):
                 reply = client.recv(timeout=120.0)

@@ -558,7 +558,7 @@ class WorkerFlight:
         self._stop = threading.Event()
         self._thread = None
         self._state = None
-        self._result_q = None
+        self._results = None
         self._busy_job = None
         self._task_span = None
 
@@ -575,12 +575,14 @@ class WorkerFlight:
 
     # -- heartbeats --------------------------------------------------------
 
-    def start_heartbeats(self, state, result_q):
-        """Begin shipping periodic vitals up the result channel (the
-        first beat goes out immediately, so even a worker that dies on
-        its first task has reported in)."""
+    def start_heartbeats(self, state, results):
+        """Begin shipping periodic vitals up the result channel
+        (``results.put(msg)``; the worker passes its locked
+        :class:`~repro.serve.worker.ResultChannel`, shared with the task
+        loop).  The first beat goes out immediately, so even a worker
+        that dies on its first task has reported in."""
         self._state = state
-        self._result_q = result_q
+        self._results = results
         self.events.emit("worker.start", heartbeat_s=self.heartbeat_s)
         self._beat()
         self._thread = threading.Thread(
@@ -622,11 +624,11 @@ class WorkerFlight:
         return beat
 
     def _beat(self):
-        if self._result_q is None:
+        if self._results is None:
             return
         try:
-            self._result_q.put(self.heartbeat())
-        except Exception:  # pragma: no cover - queue torn down mid-exit
+            self._results.put(self.heartbeat())
+        except Exception:  # pragma: no cover - pipe torn down mid-exit
             pass
 
     def _heartbeat_loop(self):

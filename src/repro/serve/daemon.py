@@ -27,13 +27,19 @@ Threading model — exactly one thread touches multiprocessing state:
 
 * the **accept thread** hands each connection to a reader thread;
 * **reader threads** parse client lines, run admission, and enqueue
-  accepted jobs on a plain ``queue.Queue`` inbox (responses go out
-  under a per-client send lock, so results racing an ack interleave
-  cleanly);
+  accepted jobs on a plain ``queue.Queue`` inbox, then write one byte
+  to the daemon's non-blocking *wake pipe* (responses go out under a
+  per-client send lock, so results racing an ack interleave cleanly);
 * the **pool thread** alone drives the :class:`WorkerPool` — drains
   the inbox into :meth:`WorkerPool.submit`, calls
   :meth:`WorkerPool.pump`, and delivers completed results back to the
-  sockets.  Worker queues, health checks and respawns never race.
+  sockets.  Worker pipes, health checks and respawns never race.  When
+  a sweep makes no progress it blocks in :meth:`WorkerPool.wait` on
+  the workers' result pipes and process sentinels plus the wake pipe,
+  so it sleeps only while there is nothing to do and wakes the moment
+  a job arrives, a worker answers or dies, a task deadline passes, or
+  :meth:`SolverDaemon.stop` (or the ``shutdown`` op) writes its own
+  wake byte.  An idle daemon makes no sweeps at all.
 
 Trust boundary: client JSON is *data*, never trusted.  Payloads are
 size-capped, kinds are allow-listed (``pattern`` and ``smt2`` only —
@@ -61,7 +67,7 @@ import time
 from collections import deque
 
 from repro.serve.admission import AdmissionController
-from repro.serve.pool import _POLL_SLEEP, WorkerPool
+from repro.serve.pool import WorkerPool
 
 #: Longest accepted protocol line (bytes).  A line past this is a
 #: protocol error, not a memory commitment.
@@ -172,6 +178,10 @@ class SolverDaemon:
         self._started_at = None
         self._drain_grace = DRAIN_GRACE_S
         self._drain_deadline = None
+        #: the self-pipe that wakes the pool thread out of
+        #: WorkerPool.wait; the lock keeps writers off a closed fd
+        self._wake_r = self._wake_w = None
+        self._wake_lock = threading.Lock()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -193,6 +203,9 @@ class SolverDaemon:
             self.address = self._sock.getsockname()
         self._sock.listen(64)
         self._sock.settimeout(0.2)
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
         self.pool.start()
         self._started_at = time.monotonic()
         self.obs.events.emit("daemon.start", address=str(self.address))
@@ -218,9 +231,15 @@ class SolverDaemon:
         self._stopped = True
         self._drain_grace = drain_grace_s
         self._stop.set()
+        self._wake()
         for thread in (self._pool_thread, self._accept_thread):
             if thread is not None:
                 thread.join(timeout=drain_grace_s + 10.0)
+        with self._wake_lock:
+            for fd in (self._wake_r, self._wake_w):
+                if fd is not None:
+                    os.close(fd)
+            self._wake_r = self._wake_w = None
         try:
             self._sock.close()
         except OSError:
@@ -335,6 +354,7 @@ class SolverDaemon:
                 return True
             client.send({"type": "bye"})
             self._stop.set()
+            self._wake()
             # hold this connection open until the pool thread drains:
             # the requester's own in-flight jobs still get their
             # results — shutdown never silently drops accepted work
@@ -411,11 +431,30 @@ class SolverDaemon:
             "payload": payload, "expected": expected,
             "degraded": verdict.degraded, "submitted": time.monotonic(),
         })
+        self._wake()
         client.send({
             "type": "queued", "id": job_id, "degraded": verdict.degraded,
         })
 
     # -- the pool thread ----------------------------------------------------
+
+    def _wake(self):
+        """Wake the pool thread out of :meth:`WorkerPool.wait`.  A full
+        pipe already holds a pending wake, so that write may drop."""
+        with self._wake_lock:
+            if self._wake_w is None:
+                return
+            try:
+                os.write(self._wake_w, b"\0")
+            except BlockingIOError:
+                pass
+
+    def _clear_wake(self):
+        try:
+            while os.read(self._wake_r, 4096):
+                pass
+        except BlockingIOError:
+            pass
 
     def _pool_loop(self):
         """The only thread that touches the pool."""
@@ -436,7 +475,15 @@ class SolverDaemon:
                     elif time.monotonic() > self._drain_deadline:
                         break
                 if not progressed:
-                    time.sleep(_POLL_SLEEP)
+                    timeout = None
+                    if self._drain_deadline is not None:
+                        timeout = max(
+                            0.0, self._drain_deadline - time.monotonic()
+                        )
+                    # the inbox is drained after the wake bytes are
+                    # cleared, so a job enqueued meanwhile is never missed
+                    pool.wait([self._wake_r], timeout=timeout)
+                    self._clear_wake()
         finally:
             # anything still in flight at this point is reported, not
             # silently lost (stop() already waited out the grace)

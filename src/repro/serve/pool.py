@@ -6,12 +6,14 @@ Design notes
 * **Depth-one dispatch.**  Each worker holds at most one in-flight
   task, so the pool always knows exactly which task a dead or wedged
   worker was running — crash attribution needs no guesswork.
-* **Per-worker queues.**  Every worker gets its own task *and* result
-  queue.  A SIGKILLed worker can die mid-``put``, leaving a partial
-  pickle in its result pipe; with per-worker queues that corruption is
-  confined to the dead worker's (discarded) queue instead of breaking
-  the whole pool, which is how ``ProcessPoolExecutor`` ends up in
-  ``BrokenProcessPool``.
+* **Per-worker channels.**  Every worker gets its own task queue and
+  its own one-way result pipe, whose only write end lives in the
+  worker.  A SIGKILLed worker can die mid-send, leaving a partial
+  pickle in its pipe; with per-worker pipes that corruption is
+  confined to the dead worker's (discarded) pipe — it reads as
+  ``EOFError`` or an unpickling error, which ends the drain — instead
+  of breaking the whole pool, which is how ``ProcessPoolExecutor`` ends
+  up in ``BrokenProcessPool``.
 * **Deterministic budgets.**  Tasks carry fuel budgets through the
   pool untouched, so a batch run returns the same verdicts as a serial
   run regardless of worker count; only wall time changes.
@@ -25,6 +27,13 @@ Design notes
   that the solver daemon (:mod:`repro.serve.daemon`) drives directly,
   feeding an ongoing job stream into a pool whose workers keep their
   warm store and caches across submissions.
+* **Event-driven sweeps.**  Nothing polls on a timer.  A driver calls
+  :meth:`pump` until it reports no progress, then blocks in
+  :meth:`wait`, which wakes on any worker's result pipe, any worker's
+  process sentinel (so a dead worker is replaced the moment it dies),
+  the caller's own handles (the daemon's wake pipe) and the earliest
+  in-flight task deadline (so a wedged worker is reaped on time with no
+  other traffic).
 * **Signal safety.**  ``run`` installs a SIGTERM handler for its
   duration and converts the signal (or a ``KeyboardInterrupt``) into an
   emergency :meth:`kill`: workers get SIGTERM, stragglers SIGKILL after
@@ -34,12 +43,12 @@ Design notes
 """
 
 import itertools
-import queue as queue_mod
 import signal
 import threading
 import time
 from collections import deque
 from multiprocessing import get_context
+from multiprocessing.connection import wait as wait_ready
 
 from repro.serve.report import BatchReport, TaskResult
 from repro.serve.worker import worker_main
@@ -47,9 +56,6 @@ from repro.serve.worker import worker_main
 #: Extra wall seconds past a task's own budget before its worker is
 #: declared wedged and reaped.
 DEFAULT_REAP_GRACE = 10.0
-
-#: Idle sleep between sweeps when no worker produced a message.
-_POLL_SLEEP = 0.02
 
 #: Abort threshold for workers that die before taking any task (e.g.
 #: an import failure on spawn) — prevents an infinite respawn loop.
@@ -98,17 +104,19 @@ def _affinity_key(task):
 
 class _Worker:
     __slots__ = (
-        "id", "proc", "task_q", "result_q", "task", "deadline", "retiring",
+        "id", "proc", "task_q", "results", "task", "deadline", "retiring",
+        "ended",
     )
 
-    def __init__(self, id, proc, task_q, result_q):
+    def __init__(self, id, proc, task_q, results):
         self.id = id
         self.proc = proc
         self.task_q = task_q
-        self.result_q = result_q
+        self.results = results  # read end of the worker's result pipe
         self.task = None        # the in-flight task dict, if any
         self.deadline = None
         self.retiring = False   # announced planned retirement (recycling)
+        self.ended = False      # result pipe hit end of stream
 
 
 class WorkerPool:
@@ -187,28 +195,30 @@ class WorkerPool:
 
     def _spawn(self):
         task_q = self._ctx.SimpleQueue()
-        result_q = self._ctx.Queue()
+        results, sender = self._ctx.Pipe(duplex=False)
         worker_id = "w%d" % next(self._ids)
         proc = self._ctx.Process(
             target=worker_main,
-            args=(worker_id, task_q, result_q, self._config),
+            args=(worker_id, task_q, sender, self._config),
             name="repro-serve-%s" % worker_id,
             daemon=True,
         )
         proc.start()
+        # the worker now holds the only write end, so its exit — clean
+        # or a SIGKILL mid-send — reads as end of stream here
+        sender.close()
         if self._flight is not None:
             self._flight.events.emit(
                 "worker.spawn", spawned=worker_id, spawned_pid=proc.pid,
             )
-        return _Worker(worker_id, proc, task_q, result_q)
+        return _Worker(worker_id, proc, task_q, results)
 
     def _discard(self, worker):
-        """Reap a dead/killed worker's process and queues."""
+        """Reap a dead/killed worker's process and result pipe."""
         if worker.proc.is_alive():
             worker.proc.kill()
         worker.proc.join(timeout=5.0)
-        worker.result_q.close()
-        worker.result_q.cancel_join_thread()
+        worker.results.close()
 
     def _task_deadline(self):
         seconds = self._config.get("seconds")
@@ -279,20 +289,27 @@ class WorkerPool:
         return [w.proc.pid for w in self._fleet]
 
     def pump(self):
-        """One scheduling sweep: dispatch idle workers, drain result
-        queues, and — only on an otherwise idle sweep — run the health
-        check (crash/reap detection).  Returns True when any dispatch
-        or message made progress; the caller sleeps briefly on False.
-        """
+        """One scheduling sweep; never blocks.  Dispatches idle
+        workers, drains result pipes, and — only on an otherwise idle
+        sweep — runs the health check (crash/reap detection, respawn).
+
+        Returns True when a message arrived or the health check
+        replaced a worker; the caller then sweeps again at once.  On
+        False the caller blocks in :meth:`wait`, which wakes on the
+        next message, worker exit, task deadline or caller handle."""
         state = self._state
         progressed = False
         for worker in self._fleet:
-            if worker.task is None and not worker.retiring and self.queued:
+            # drain first: a worker that just answered gets its next
+            # task in this same sweep, and one that just announced its
+            # retirement or exit is never handed a task it cannot run
+            progressed |= self._pump(worker, state)
+            if worker.task is None and not worker.retiring \
+                    and not worker.ended and self.queued:
                 task = self._next_task(worker)
                 worker.task = task
                 worker.deadline = self._task_deadline()
                 worker.task_q.put(task)
-            progressed |= self._pump(worker, state)
         if progressed:
             return True
         new_fleet = []
@@ -301,7 +318,11 @@ class WorkerPool:
             outcome = self._check_health(worker, state)
             if outcome is None:
                 new_fleet.append(worker)
-            elif outcome is worker:
+                continue
+            # a replacement may take a requeued task, and a reaped or
+            # crashed task may have a synthesized result to hand out
+            progressed = True
+            if outcome is worker:
                 # idle death (already discarded): respawn unless
                 # workers keep dying before taking any task
                 self._idle_deaths += 1
@@ -318,7 +339,30 @@ class WorkerPool:
             # workers keep dying before accepting work: fail what is
             # queued with structured errors instead of looping forever
             self._fail_pending()
-        return False
+        return progressed
+
+    def wait(self, extra=(), timeout=None):
+        """Block until there is something for :meth:`pump` to do.
+
+        Wakes on a message on any live worker's result pipe, any
+        worker's exit (its process sentinel), any of the caller's
+        ``extra`` handles (anything :func:`multiprocessing.connection.
+        wait` accepts), or after ``timeout`` seconds.  The timeout is
+        capped at the earliest in-flight task deadline, so a wedged
+        worker is reaped on time even with no other traffic.  Returns
+        the ready handles; returns at once when nothing could wake it.
+        """
+        handles = list(extra)
+        for worker in self._fleet:
+            if not worker.ended:
+                handles.append(worker.results)
+            handles.append(worker.proc.sentinel)
+            if worker.deadline is not None:
+                until = max(0.0, worker.deadline - time.monotonic())
+                timeout = until if timeout is None else min(timeout, until)
+        if not handles:
+            return []
+        return wait_ready(handles, timeout)
 
     def take_completed(self):
         """Pop every finished :class:`TaskResult`, ascending by index.
@@ -416,7 +460,7 @@ class WorkerPool:
                 self.submit(job.to_task(i))
             while len(state["results"]) < total:
                 if not self.pump() and len(state["results"]) < total:
-                    time.sleep(_POLL_SLEEP)
+                    self.wait()
             worker_metrics = self.stop()
         except BaseException as exc:
             interrupted = isinstance(
@@ -488,19 +532,23 @@ class WorkerPool:
         return None
 
     def _pump(self, worker, state):
-        """Drain one worker's result queue; True if anything arrived."""
+        """Drain one worker's result pipe; True if anything arrived."""
         progressed = False
-        while True:
+        while not worker.ended:
             try:
-                msg = worker.result_q.get_nowait()
-            except queue_mod.Empty:
-                return progressed
+                if not worker.results.poll():
+                    break
+                msg = worker.results.recv()
             except Exception:
-                # partial pickle from a dying worker; the health check
-                # will pick the body up
-                return progressed
+                # end of stream: the worker exited, or died mid-send
+                # and left a partial pickle.  Nothing more can arrive;
+                # the health check (woken by the process sentinel)
+                # picks the body up
+                worker.ended = True
+                break
             progressed = True
             self._handle(worker, msg, state)
+        return progressed
 
     def _handle(self, worker, msg, state):
         kind = msg.get("type")
@@ -722,16 +770,16 @@ class WorkerPool:
                 except (OSError, ValueError):  # pragma: no cover
                     pass
         deadline = time.monotonic() + 5.0
-        while state["stats_seen"] < expected and time.monotonic() < deadline:
-            progressed = False
+        while state["stats_seen"] < expected:
+            # a worker's final message precedes its end of stream, so
+            # the barrier is done once every pipe has ended
+            open_pipes = [w.results for w in fleet if not w.ended]
+            remaining = deadline - time.monotonic()
+            if not open_pipes or remaining <= 0:
+                break
+            wait_ready(open_pipes, remaining)
             for worker in fleet:
-                progressed |= self._pump(worker, state)
-            if not progressed:
-                if all(not w.proc.is_alive() for w in fleet):
-                    for worker in fleet:
-                        self._pump(worker, state)
-                    break
-                time.sleep(_POLL_SLEEP)
+                self._pump(worker, state)
         for worker in fleet:
             self._discard(worker)
         return state["worker_metrics"]

@@ -16,6 +16,7 @@ as a crash and isolates to the task that was running).
 
 import os
 import signal
+import threading
 import time
 
 from repro.alphabet import IntervalAlgebra
@@ -244,7 +245,26 @@ def execute_task(state, task):
     return out
 
 
-def worker_main(worker_id, task_q, result_q, config):
+class ResultChannel:
+    """The worker's end of its result pipe, shared by the task loop and
+    the flight heartbeat thread.
+
+    A pipe carries one byte stream, so two threads sending at once
+    would interleave their frames; one lock keeps every message whole.
+    ``put`` blocks while the pool has not yet read a message larger
+    than the pipe buffer — the pool drains result pipes whenever it
+    waits, so the block is brief."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self._lock = threading.Lock()
+
+    def put(self, msg):
+        with self._lock:
+            self._conn.send(msg)
+
+
+def worker_main(worker_id, task_q, result_conn, config):
     """Process entry point: pull tasks until the ``None`` sentinel or a
     retirement trigger (task budget, RSS or cache watermark).
 
@@ -253,11 +273,15 @@ def worker_main(worker_id, task_q, result_q, config):
     shutdown (plus ``retiring``/``reason`` fields) and exits; the pool
     merges its metrics and replaces it without charging a crash.
 
+    ``result_conn`` is the write end of this worker's own result pipe;
+    exiting closes it, which the pool reads as end of stream.
+
     With ``config["flight_dir"]`` set, the worker carries a
     :class:`~repro.obs.flight.WorkerFlight`: its solver stack records
     spans and structured events into the flight directory, a heartbeat
-    thread ships vitals up ``result_q``, and slow tasks freeze
+    thread ships vitals up the result pipe, and slow tasks freeze
     replayable artifacts (see :mod:`repro.obs.flight`)."""
+    results = ResultChannel(result_conn)
     flight = None
     flight_dir = config.get("flight_dir")
     if flight_dir:
@@ -268,7 +292,7 @@ def worker_main(worker_id, task_q, result_q, config):
         config, obs=flight.observability() if flight else None
     )
     if flight:
-        flight.start_heartbeats(state, result_q)
+        flight.start_heartbeats(state, results)
     retire_reason = None
     while True:
         task = task_q.get()
@@ -285,7 +309,7 @@ def worker_main(worker_id, task_q, result_q, config):
             "attempts": task["attempts"] + 1,
         })
         state.tasks_done += 1
-        result_q.put(out)
+        results.put(out)
         if flight:
             flight.task_finished(task, out)
         retire_reason = state.should_retire()
@@ -310,4 +334,4 @@ def worker_main(worker_id, task_q, result_q, config):
         # for recycled workers) start warm
         final["store"] = dict(state.store.stats())
         final["store"]["new"] = state.store.export_new()
-    result_q.put(final)
+    results.put(final)

@@ -8,7 +8,6 @@ import pytest
 from repro.serve import Job, WorkerPool, solve_batch
 
 BUDGET = {"fuel": 100000, "seconds": 5.0}
-_POLL = 0.02
 
 
 def pump_until(pool, want, timeout=60.0):
@@ -20,7 +19,7 @@ def pump_until(pool, want, timeout=60.0):
             "only %d/%d results before timeout" % (len(results), want)
         )
         if not pool.pump():
-            time.sleep(_POLL)
+            pool.wait(timeout=max(0.0, deadline - time.monotonic()))
         results.extend(pool.take_completed())
     return results
 
@@ -68,7 +67,7 @@ class TestStreamingCore:
             pool.submit(Job("busy", "pattern", "(a|b)*abb").to_task(0))
             while pool.inflight == 0:
                 if not pool.pump():
-                    time.sleep(_POLL)
+                    pool.wait(timeout=1.0)
             pool.submit(Job("deg", "pattern", "a*b").to_task(1),
                         degraded=True)
             pool.submit(Job("norm", "pattern", "a|b").to_task(2))
