@@ -49,7 +49,7 @@ def test_blowup_sweep_lazy(benchmark, builder):
         result = solver.is_satisfiable(clash(builder, k))
         elapsed = time.perf_counter() - started
         eager_rows.append(
-            (k, result.status, elapsed, result.stats.get("states_created"))
+            (k, result.status, elapsed, result.stats.explored)
         )
     # the eager pipeline falls over somewhere in the sweep
     assert any(status == "unknown" for _, status, _, _ in eager_rows)

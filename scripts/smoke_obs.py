@@ -52,6 +52,17 @@ def main():
                  "deriv.deriv_memo_hits", "graph.updates"):
         check(snap.get(name, 0) > 0, "metric %s is zero" % name)
 
+    # two solvers on one builder share its algebra; each registry adds
+    # up only its own queries' algebra work
+    shared = [RegexSolver(builder), RegexSolver(builder)]
+    own_ops = [
+        peer.is_satisfiable(parse(builder, pattern)).stats.algebra_ops
+        for peer, pattern in zip(shared, ("(a|b)*abb", "(.*0.*)&~(.*01.*)"))
+    ]
+    for peer, ops in zip(shared, own_ops):
+        check(peer.obs.metrics.snapshot().get("algebra.ops") == ops > 0,
+              "registry algebra.ops counts another solver's work")
+
     tracer = solver.obs.tracer
     names = {event["name"] for event in tracer.events}
     for name in ("solver.explore", "deriv.tree", "deriv.meld",

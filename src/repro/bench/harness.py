@@ -49,11 +49,11 @@ class Engine:
 class Record:
     """Outcome of one (engine, problem) run.
 
-    ``stats`` holds the per-record counters captured from the solver:
-    the result's stats (typed snapshots flattened via ``to_dict``) plus
-    the engine's metrics-registry snapshot under ``"metrics"``, so the
-    exported benchmark JSON carries explored-state, sat-check and memo
-    counters for every run.
+    ``stats`` is the result's :class:`~repro.solver.result.SolverStats`
+    flattened by ``to_dict``: the work this one problem did (explored
+    states, sat checks, memo hits, ...), independent of what ran before
+    it, so the exported benchmark JSON carries per-problem counters for
+    every run.
     """
 
     __slots__ = ("problem", "engine", "status", "seconds", "outcome", "stats")
@@ -72,16 +72,6 @@ class Record:
         return self.outcome in ("correct", "unchecked")
 
 
-def _capture_stats(result, solver):
-    """Per-record counters: result stats + the engine's metrics tree."""
-    stats = result.stats
-    stats = stats.to_dict() if hasattr(stats, "to_dict") else dict(stats)
-    obs = getattr(getattr(solver, "engine", None), "obs", None)
-    if obs is not None and obs.metrics.enabled:
-        stats["metrics"] = obs.metrics.snapshot()
-    return stats
-
-
 def record_outcome(result, solver, expected, formula=None):
     """Classify one solver result against its expected label.
 
@@ -92,7 +82,7 @@ def record_outcome(result, solver, expected, formula=None):
     worker's ``bench`` task executor.
     """
     status = result.status
-    stats = _capture_stats(result, solver)
+    stats = result.stats.to_dict()
     if status == "unknown":
         return status, "timeout", stats
     if expected is None:

@@ -12,8 +12,10 @@ the project's performance trajectory.  Each cell records::
      "median_s": 0.004, "p90_s": 0.011, "mean_s": ..., "max_s": ...,
      "counters": {"explored": ..., "sat_checks": ..., ...}}
 
-where ``counters`` sums the per-record solver counters the harness
-captures on every :class:`~repro.bench.harness.Record`.  The snapshot
+where ``counters`` sums the per-query :class:`~repro.solver.result.
+SolverStats` fields the harness captures on every
+:class:`~repro.bench.harness.Record` and keeps the peak of each
+``stats.caches`` level under a ``cache.`` key.  The snapshot
 additionally embeds a span-derived profile of the reference engine
 (:func:`repro.obs.profile.profile_summary`), so each entry records
 *where* the time went, not just how much was spent.
@@ -67,21 +69,17 @@ def _percentile(sorted_values, q):
     return sorted_values[min(rank - 1, len(sorted_values) - 1)]
 
 
-#: Metric names under this prefix are gauge *levels* (current cache
-#: sizes published by the lifecycle layer), not event counters: summing
-#: them across records would be meaningless, so they aggregate as the
-#: peak observed value instead.
-_LEVEL_PREFIX = "cache."
-
-
-def _sum_counters(into, stats):
+def _fold_stats(into, stats):
+    """Sum one record's per-query counters into ``into``.  The cache
+    sizes in ``stats["caches"]`` are levels, not deltas, so they fold
+    as the peak observed value under ``cache.<name>``; ``lifetime`` is
+    a running total and is left out."""
     for key, value in stats.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        if key.startswith(_LEVEL_PREFIX):
-            into[key] = max(into.get(key, 0), value)
-        else:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
             into[key] = into.get(key, 0) + value
+    for key, value in (stats.get("caches") or {}).items():
+        key = "cache." + key
+        into[key] = max(into.get(key, 0), value)
 
 
 def aggregate_cells(records, budget_seconds):
@@ -104,13 +102,13 @@ def aggregate_cells(records, budget_seconds):
         wrong = sum(1 for r in recs if r.outcome == "wrong")
         counters = {}
         for r in recs:
-            _sum_counters(counters, r.stats)
-            # the engine's registry snapshot (dotted names) rides on
-            # each record under "metrics"; fold its scalars in too
-            metrics = r.stats.get("metrics")
-            if isinstance(metrics, dict):
-                _sum_counters(counters, metrics)
-        counters.pop("elapsed", None)  # wall time lives on the cell
+            _fold_stats(counters, r.stats)
+        # wall time lives on the cell; the builder is shared across
+        # problems (and split across workers), so the regexes a query
+        # interns depend on what ran before it — cache.regex_nodes
+        # carries the builder's size instead
+        counters.pop("elapsed", None)
+        counters.pop("interned_regexes", None)
         cells["%s/%s" % (engine, suite)] = {
             "engine": engine,
             "suite": suite,

@@ -19,7 +19,7 @@ from repro.derivatives.nnf import is_nnf, nnf
 from repro.derivatives.lift import lift
 from repro.derivatives.dnf import delta_dnf, dnf, is_dnf, successors
 from repro.derivatives.condtree import DerivativeEngine, Leaf, Node
-from repro.derivatives import antimirov, approx, brzozowski
+from repro.derivatives import antimirov, brzozowski
 
 __all__ = [
     "TRLeaf", "TRCond", "TRUnion", "TRInter", "TRCompl",
@@ -28,5 +28,5 @@ __all__ = [
     "derivative", "brzozowski_via_delta",
     "nnf", "is_nnf", "lift", "dnf", "delta_dnf", "is_dnf", "successors",
     "DerivativeEngine", "Leaf", "Node",
-    "antimirov", "brzozowski", "approx",
+    "antimirov", "brzozowski",
 ]

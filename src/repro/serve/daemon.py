@@ -25,7 +25,9 @@ Responses::
 
 Threading model — exactly one thread touches multiprocessing state:
 
-* the **accept thread** hands each connection to a reader thread;
+* the **accept thread** blocks in ``accept()`` and hands each
+  connection to a reader thread; :meth:`SolverDaemon.stop` shuts the
+  listening socket down, which ends the blocked ``accept()``;
 * **reader threads** parse client lines, run admission, and enqueue
   accepted jobs on a plain ``queue.Queue`` inbox, then write one byte
   to the daemon's non-blocking *wake pipe* (responses go out under a
@@ -202,7 +204,6 @@ class SolverDaemon:
             self._sock.bind((self.host, self.port))
             self.address = self._sock.getsockname()
         self._sock.listen(64)
-        self._sock.settimeout(0.2)
         self._wake_r, self._wake_w = os.pipe()
         os.set_blocking(self._wake_r, False)
         os.set_blocking(self._wake_w, False)
@@ -232,6 +233,11 @@ class SolverDaemon:
         self._drain_grace = drain_grace_s
         self._stop.set()
         self._wake()
+        try:
+            # wakes the accept thread's blocked accept() with an OSError
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         for thread in (self._pool_thread, self._accept_thread):
             if thread is not None:
                 thread.join(timeout=drain_grace_s + 10.0)
@@ -273,8 +279,6 @@ class SolverDaemon:
         while not self._stop.is_set():
             try:
                 conn, _addr = self._sock.accept()
-            except socket.timeout:
-                continue
             except OSError:
                 return
             client = _Client("c%d" % next(self._client_ids), conn)

@@ -69,16 +69,14 @@ class TaskResult:
 
 
 def merge_numeric(into, mapping):
-    """Sum ``mapping``'s numeric scalars into ``into`` (recursing one
-    level into nested dicts like the per-task ``stats["metrics"]``
-    registry snapshots), mirroring the BENCH snapshot aggregation."""
+    """Sum ``mapping``'s top-level numeric scalars into ``into``.
+
+    Nested dicts are skipped: in per-task stats they are ``lifetime``
+    (running totals) and ``caches`` (levels), which do not add up
+    across tasks."""
     for key, value in mapping.items():
-        if isinstance(value, bool):
-            continue
-        if isinstance(value, (int, float)):
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
             into[key] = into.get(key, 0) + value
-        elif isinstance(value, dict) and key in ("lifetime", "metrics"):
-            merge_numeric(into.setdefault(key, {}), value)
     return into
 
 
@@ -116,7 +114,8 @@ class BatchReport:
         self.heartbeats = list(heartbeats or ())
         #: the flight directory this batch recorded into, or None
         self.flight_dir = flight_dir
-        #: summed per-task solver counters (explored, sat_checks, ...)
+        #: summed per-task solver counters (explored, sat_checks, ...):
+        #: per-query deltas only, never ``lifetime`` or ``caches``
         self.counters = {}
         for result in self.results:
             if result.stats:

@@ -117,11 +117,6 @@ class WorkerState:
         return None
 
 
-def _result_stats(result):
-    stats = result.stats
-    return stats.to_dict() if hasattr(stats, "to_dict") else dict(stats)
-
-
 def _result_explanation(result):
     """A JSON-safe explanation summary for a result, or None.
 
@@ -152,7 +147,7 @@ def _solve_smt2(state, task):
         "model": result.model,
         "reason": result.reason,
         "error": result.error,
-        "stats": _result_stats(result),
+        "stats": result.stats.to_dict(),
     }
     explanation = _result_explanation(result)
     if explanation is not None:
@@ -168,7 +163,7 @@ def _solve_pattern(state, task):
         "witness": result.witness,
         "reason": result.reason,
         "error": result.error,
-        "stats": _result_stats(result),
+        "stats": result.stats.to_dict(),
     }
     explanation = _result_explanation(result)
     if explanation is not None:

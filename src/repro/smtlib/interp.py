@@ -16,7 +16,7 @@ def run_script(builder, text, solver=None, budget=None):
     result = solver.solve(script.formula, budget=budget)
     expected = script.expected_status()
     if expected is not None:
-        result.stats["expected"] = expected
+        result.stats.expected = expected
     return result
 
 

@@ -28,13 +28,16 @@ from repro.derivatives.brzozowski import brzozowski, sorted_predicates
 from repro.errors import BudgetExceeded, UnsupportedError
 from repro.obs import Observability
 from repro.solver.lifecycle import EngineState
-from repro.solver.result import Budget, SAT, SolverResult, UNKNOWN, UNSAT
+from repro.solver.result import (
+    Budget, SAT, SolverResult, SolverStats, UNKNOWN, UNSAT,
+)
 
 
 class _BaselineObsMixin:
     """Shared telemetry wiring: every baseline reports its explored
-    states under a scope named after the engine, so dZ3 and the
-    baselines are comparable on the same dashboards.
+    states in :attr:`SolverStats.explored` and under a registry scope
+    named after the engine, so dZ3 and the baselines are comparable on
+    the same dashboards.
 
     Also shared: the lifecycle facade.  The baselines keep no memo
     tables of their own, but their queries intern transient regexes
@@ -59,9 +62,16 @@ class _BaselineObsMixin:
         across the lineup — an incomplete engine is not a wrong one.
         """
         try:
-            return self._is_satisfiable(regex, budget)
-        except UnsupportedError as exc:
-            return SolverResult(UNKNOWN, reason=str(exc))
+            try:
+                result = self._is_satisfiable(regex, budget)
+            except UnsupportedError as exc:
+                result = SolverResult(
+                    UNKNOWN, reason=str(exc), stats=SolverStats()
+                )
+            self._c_queries.inc()
+            self._c_explored.inc(result.stats.explored)
+            result.stats.caches = self.state.cache_sizes()
+            return result
         finally:
             self.state.end_query(keep=(regex,))
 
@@ -83,7 +93,6 @@ class EagerAutomataSolver(_BaselineObsMixin):
 
     def _is_satisfiable(self, regex, budget=None):
         states = StateBudget(self.max_states)
-        self._c_queries.inc()
         try:
             with self._tracer.span("solver.explore", engine=self.name):
                 sfa = eager_compile(self.algebra, regex, states)
@@ -91,12 +100,11 @@ class EagerAutomataSolver(_BaselineObsMixin):
                     sfa = determinize(sfa, states)
                 empty, witness = sfa.is_empty()
         except BudgetExceeded as exc:
-            self._c_explored.inc(states.created)
             return SolverResult(
-                UNKNOWN, reason=str(exc), stats={"states_created": states.created}
+                UNKNOWN, reason=str(exc),
+                stats=SolverStats(explored=states.created),
             )
-        self._c_explored.inc(states.created)
-        stats = {"states_created": states.created}
+        stats = SolverStats(explored=states.created)
         if empty:
             return SolverResult(UNSAT, stats=stats)
         return SolverResult(SAT, witness=witness, stats=stats)
@@ -125,15 +133,13 @@ class AntimirovSolver(_BaselineObsMixin):
 
     def _is_satisfiable(self, regex, budget=None):
         budget = budget or Budget()
-        self._c_queries.inc()
+        stats = SolverStats()
         try:
             positive, negatives = self._split(regex)
             with self._tracer.span("solver.explore", engine=self.name):
-                return self._search(positive, negatives, budget)
-        except UnsupportedError as exc:
-            return SolverResult(UNKNOWN, reason=str(exc))
-        except BudgetExceeded as exc:
-            return SolverResult(UNKNOWN, reason=str(exc))
+                return self._search(positive, negatives, budget, stats)
+        except (UnsupportedError, BudgetExceeded) as exc:
+            return SolverResult(UNKNOWN, reason=str(exc), stats=stats)
 
     def _split(self, regex):
         """``A & ~B1 & ... & ~Bk`` with complement-free pieces."""
@@ -164,7 +170,7 @@ class AntimirovSolver(_BaselineObsMixin):
             )
         return regex
 
-    def _search(self, positive, negatives, budget):
+    def _search(self, positive, negatives, budget, stats):
         builder = self.builder
         algebra = self.algebra
 
@@ -176,15 +182,13 @@ class AntimirovSolver(_BaselineObsMixin):
 
         start = (positive, tuple(frozenset({n}) for n in negatives))
         if is_final(start):
-            return SolverResult(SAT, witness="")
+            return SolverResult(SAT, witness="", stats=stats)
         parent = {start: None}
         stack = [start]
-        explored = 0
         while stack:
             budget.tick()
             state = stack.pop()
-            explored += 1
-            self._c_explored.inc()
+            stats.explored += 1
             pos, subsets = state
             pos_pairs = linear_form(builder, pos)
             subset_pairs = [
@@ -213,10 +217,10 @@ class AntimirovSolver(_BaselineObsMixin):
                             return SolverResult(
                                 SAT,
                                 witness=_reconstruct(parent, nxt),
-                                stats={"states": explored},
+                                stats=stats,
                             )
                         stack.append(nxt)
-        return SolverResult(UNSAT, stats={"states": explored})
+        return SolverResult(UNSAT, stats=stats)
 
 
 class MintermSolver(_BaselineObsMixin):
@@ -241,25 +245,25 @@ class MintermSolver(_BaselineObsMixin):
         builder = self.builder
         algebra = self.algebra
         preds = sorted_predicates(regex)
-        self._c_queries.inc()
+        stats = SolverStats()
         try:
             parts = minterms(algebra, preds)
+            stats.minterms = len(parts)
             if len(parts) > self.max_minterms:
                 return SolverResult(
                     UNKNOWN,
                     reason="minterm explosion (%d minterms)" % len(parts),
+                    stats=stats,
                 )
             letters = [algebra.pick(part) for part in parts]
             if regex.nullable:
-                return SolverResult(SAT, witness="")
+                return SolverResult(SAT, witness="", stats=stats)
             parent = {regex: None}
             queue = deque([regex])
-            explored = 0
             while queue:
                 budget.tick()
                 state = queue.popleft()
-                explored += 1
-                self._c_explored.inc()
+                stats.explored += 1
                 for char in letters:
                     budget.tick()
                     target = brzozowski(builder, state, char)
@@ -271,14 +275,12 @@ class MintermSolver(_BaselineObsMixin):
                             return SolverResult(
                                 SAT,
                                 witness=_reconstruct(parent, target),
-                                stats={"states": explored, "minterms": len(parts)},
+                                stats=stats,
                             )
                         queue.append(target)
-            return SolverResult(
-                UNSAT, stats={"states": explored, "minterms": len(parts)}
-            )
+            return SolverResult(UNSAT, stats=stats)
         except BudgetExceeded as exc:
-            return SolverResult(UNKNOWN, reason=str(exc))
+            return SolverResult(UNKNOWN, reason=str(exc), stats=stats)
 
 
 def _reconstruct(parent, state):

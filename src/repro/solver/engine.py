@@ -11,6 +11,7 @@ decidable, so the only source of ``unknown`` is an explicit budget).
 
 import time
 from collections import deque
+from operator import attrgetter
 
 from repro.derivatives.condtree import DerivativeEngine
 from repro.errors import BudgetExceeded, ReproError, UnsupportedError
@@ -28,6 +29,42 @@ from repro.solver.result import (
 def _by_uid(regex):
     """Deterministic successor ordering for frozen transition rows."""
     return regex.uid
+
+
+#: Every per-query counter, defined once: the :class:`SolverStats`
+#: field, the registry counter its per-query delta is added to (None:
+#: stats only), and the solver attribute holding the cumulative value.
+#: The query-entry mark, the per-query delta and ``lifetime`` all read
+#: it.
+_COUNTERS = (
+    ("explored", "solver.explored", "_explored_n"),
+    ("vertices", None, "graph.vertex_count"),
+    ("edges", "graph.edges", "graph.edges_added"),
+    ("final", None, "graph.final_count"),
+    ("closed", "graph.updates", "graph.closed_count"),
+    ("alive", None, "graph.alive_count"),
+    ("dead", "graph.dead_marked", "graph.dead_count"),
+    ("sat_checks", "deriv.sat_checks", "engine.sat_checks"),
+    ("deriv_memo_hits", "deriv.deriv_memo_hits", "engine.deriv_memo_hits"),
+    ("deriv_memo_misses", "deriv.deriv_memo_misses",
+     "engine.deriv_memo_misses"),
+    ("meld_memo_hits", "deriv.meld_memo_hits", "engine.meld_memo_hits"),
+    ("meld_memo_misses", "deriv.meld_memo_misses",
+     "engine.meld_memo_misses"),
+    ("algebra_ops", "algebra.ops", "algebra.op_count"),
+    ("algebra_sat_checks", "algebra.sat_checks", "algebra.sat_check_count"),
+    ("interned_regexes", None, "builder.interned_count"),
+    ("store_hits", "store.hits", "_store_hits_n"),
+    ("store_misses", "store.misses", "_store_misses_n"),
+)
+_COUNTER_NAMES = tuple(name for name, _metric, _path in _COUNTERS)
+#: (field, registry scope, counter name) of every summed counter
+_REGISTRY_NAMES = tuple(
+    (name,) + tuple(metric.split("."))
+    for name, metric, _path in _COUNTERS if metric is not None
+)
+#: one C-level call reading every cumulative value, in table order
+_read_counters = attrgetter(*(path for _name, _metric, path in _COUNTERS))
 
 
 class RegexSolver:
@@ -48,7 +85,7 @@ class RegexSolver:
         self.builder = builder
         self.algebra = builder.algebra
         self.obs = obs if obs is not None else Observability()
-        self.algebra.bind_metrics(self.obs.metrics, self.obs.tracer)
+        self.algebra.bind_tracer(self.obs.tracer)
         self.engine = DerivativeEngine(builder, obs=self.obs)
         self.graph = RegexGraph(is_final=lambda r: r.nullable, obs=self.obs)
         #: lifecycle facade over the solver's persistent caches; pass a
@@ -72,8 +109,7 @@ class RegexSolver:
         self._c_witnesses = scope.counter("witnesses")
         self._h_query_states = scope.histogram("query_states")
         self._tracer = self.obs.tracer
-        #: states popped across all queries (plain int on the hot path;
-        #: published to the registry by _sync_registry per query)
+        #: states popped across all queries (plain int on the hot path)
         self._explored_n = 0
         #: the cross-query compiled-fragment store (repro.solver.store)
         self.store = None
@@ -93,23 +129,16 @@ class RegexSolver:
         self._capture = None
         self._store_hits_n = 0
         self._store_misses_n = 0
-        store_scope = self.obs.metrics.scope("store")
-        self._c_store_hits = store_scope.counter("hits")
-        self._c_store_misses = store_scope.counter("misses")
+        #: (stats field, registry counter) pairs: each query's deltas
+        #: are added to the registry, so it counts only this solver's
+        #: work even when solvers share a builder and algebra
+        metrics = self.obs.metrics
+        self._registry_counters = [
+            (name, metrics.scope(scope).counter(counter))
+            for name, scope, counter in _REGISTRY_NAMES
+        ] if metrics.enabled else []
         if store is not None:
             self.attach_store(store)
-
-    def _sync_registry(self):
-        """Push the plain-int hot-path counters of every layer into the
-        metrics registry — called once per query, so ``obs.metrics.
-        snapshot()`` is consistent at query boundaries."""
-        metrics = self.obs.metrics
-        if not metrics.enabled:
-            return
-        metrics.scope("solver").counter("explored").value = self._explored_n
-        self.engine.sync_metrics()
-        self.graph.sync_metrics()
-        self.algebra.sync_metrics()
 
     # -- the warm store -------------------------------------------------------
 
@@ -163,7 +192,6 @@ class RegexSolver:
         fragment = self.store.lookup(repr(self.algebra), key)
         if fragment is not None:
             self._store_hits_n += 1
-            self._c_store_hits.inc()
             if (regex not in self._warm_rows
                     and regex not in self._warm_sources):
                 from repro.solver.store import LazyFragment
@@ -175,7 +203,6 @@ class RegexSolver:
                     self._warm_sources[regex] = (lazy, 0)
             return
         self._store_misses_n += 1
-        self._c_store_misses.inc()
         self._capture = (key, {})
 
     def _capture_fragment(self, regex):
@@ -507,67 +534,28 @@ class RegexSolver:
         return "".join(step[2] for step in steps), steps
 
     def _mark(self, budget):
-        """Snapshot the cumulative counters at query entry, so the
-        query's :class:`SolverStats` can report per-query deltas (the
-        memo tables and graph persist across queries on purpose)."""
-        engine = self.engine
-        return {
-            "graph": self.graph.stats(),
-            "explored": self._explored_n,
-            "sat_checks": engine.sat_checks,
-            "deriv_memo_hits": engine.deriv_memo_hits,
-            "deriv_memo_misses": engine.deriv_memo_misses,
-            "meld_memo_hits": engine.meld_memo_hits,
-            "meld_memo_misses": engine.meld_memo_misses,
-            "algebra_ops": self.algebra.op_count,
-            "interned": self.builder.interned_count,
-            "store_hits": self._store_hits_n,
-            "store_misses": self._store_misses_n,
-            "fuel_used": budget.fuel_used,
-            "started": time.perf_counter(),
-        }
+        """Read the cumulative counters at query entry, so the query's
+        :class:`SolverStats` can report per-query deltas (the memo
+        tables and graph persist across queries on purpose)."""
+        return _read_counters(self), budget.fuel_used, time.perf_counter()
 
     def _stats(self, mark, budget):
-        engine = self.engine
-        graph_now = self.graph.stats()
-        graph_then = mark["graph"]
-        explored = self._explored_n - mark["explored"]
-        self._h_query_states.observe(explored)
-        self._sync_registry()
-        lifetime = dict(graph_now)
-        lifetime.update({
-            "queries": self._c_queries.value,
-            "explored": self._explored_n,
-            "sat_checks": engine.sat_checks,
-            "deriv_memo_hits": engine.deriv_memo_hits,
-            "deriv_memo_misses": engine.deriv_memo_misses,
-            "meld_memo_hits": engine.meld_memo_hits,
-            "meld_memo_misses": engine.meld_memo_misses,
-            "algebra_ops": self.algebra.op_count,
-            "interned_regexes": self.builder.interned_count,
-            "store_hits": self._store_hits_n,
-            "store_misses": self._store_misses_n,
-            "fuel_used": budget.fuel_used,
-        })
-        return SolverStats(
-            explored=explored,
-            vertices=graph_now["vertices"] - graph_then["vertices"],
-            edges=graph_now["edges"] - graph_then["edges"],
-            final=graph_now["final"] - graph_then["final"],
-            closed=graph_now["closed"] - graph_then["closed"],
-            alive=graph_now["alive"] - graph_then["alive"],
-            dead=graph_now["dead"] - graph_then["dead"],
-            sat_checks=engine.sat_checks - mark["sat_checks"],
-            deriv_memo_hits=engine.deriv_memo_hits - mark["deriv_memo_hits"],
-            deriv_memo_misses=engine.deriv_memo_misses - mark["deriv_memo_misses"],
-            meld_memo_hits=engine.meld_memo_hits - mark["meld_memo_hits"],
-            meld_memo_misses=engine.meld_memo_misses - mark["meld_memo_misses"],
-            algebra_ops=self.algebra.op_count - mark["algebra_ops"],
-            store_hits=self._store_hits_n - mark["store_hits"],
-            store_misses=self._store_misses_n - mark["store_misses"],
-            fuel_used=budget.fuel_used - mark["fuel_used"],
-            elapsed=time.perf_counter() - mark["started"],
-            interned_regexes=self.builder.interned_count - mark["interned"],
-            lifetime=lifetime,
-            caches=self.state.cache_sizes(),
+        """The query's :class:`SolverStats`; adds its deltas to the
+        metrics registry (the query boundary)."""
+        then, fuel_then, started = mark
+        now = _read_counters(self)
+        deltas = {
+            name: value - before
+            for name, value, before in zip(_COUNTER_NAMES, now, then)
+        }
+        for name, counter in self._registry_counters:
+            counter.inc(deltas[name])
+        self._h_query_states.observe(deltas["explored"])
+        deltas["fuel_used"] = budget.fuel_used - fuel_then
+        deltas["elapsed"] = time.perf_counter() - started
+        lifetime = dict(zip(_COUNTER_NAMES, now))
+        lifetime["queries"] = self._c_queries.value
+        lifetime["fuel_used"] = budget.fuel_used
+        return SolverStats.from_counts(
+            deltas, lifetime=lifetime, caches=self.state.cache_sizes(),
         )

@@ -43,17 +43,6 @@ class RegexGraph:
         #: bound ``tracer.span`` when tracing is live, else None
         self._span = self._obs.tracer.span if self._obs.tracer.enabled else None
 
-    def sync_metrics(self):
-        """Publish the graph's structural counters into the ``graph``
-        scope of the metrics registry (no-op when metrics are off)."""
-        metrics = self._obs.metrics
-        if not metrics.enabled:
-            return
-        scope = metrics.scope("graph")
-        scope.counter("updates").value = len(self._closed)
-        scope.counter("edges").value = self.edges_added
-        scope.counter("dead_marked").value = len(self._dead)
-
     # -- structure ------------------------------------------------------------
 
     def add_vertex(self, vertex):
@@ -160,6 +149,18 @@ class RegexGraph:
             "alive": vertex in self._alive,
             "dead": vertex in self._dead,
         }
+
+    @property
+    def vertex_count(self):
+        return len(self._succ)
+
+    @property
+    def final_count(self):
+        return len(self._final)
+
+    @property
+    def closed_count(self):
+        return len(self._closed)
 
     @property
     def dead_count(self):

@@ -1,6 +1,7 @@
 """Solver results, typed per-query statistics, and resource budgets."""
 
 import time
+from operator import add, attrgetter
 
 from repro.errors import BudgetExceeded
 
@@ -65,13 +66,18 @@ class Budget:
 
 
 class SolverStats:
-    """Typed snapshot of the work one query performed.
+    """Typed record of the work one query performed — the one
+    per-query shape every engine returns.
 
     Every field is a *per-query* delta — :class:`~repro.solver.engine.
     RegexSolver` snapshots its cumulative counters at query entry and
     reports the difference — while ``lifetime`` holds the solver's
     cumulative counters, since the derivative memo tables and the
-    reachability graph persist across queries on purpose.
+    reachability graph persist across queries on purpose.  Fields an
+    engine does not track stay 0: the baselines count their states in
+    ``explored``, the SMT front end adds ``case_splits`` to the sum of
+    its sub-queries, and ``minterms`` is the minterm baseline's
+    alphabet size.
 
     Behaves like a read-only mapping for backward compatibility with
     the free-form stats dict it replaced (``stats["vertices"]``,
@@ -82,8 +88,8 @@ class SolverStats:
         "explored", "vertices", "edges", "final", "closed", "alive", "dead",
         "sat_checks", "deriv_memo_hits", "deriv_memo_misses",
         "meld_memo_hits", "meld_memo_misses", "algebra_ops",
-        "fuel_used", "elapsed", "interned_regexes",
-        "store_hits", "store_misses",
+        "algebra_sat_checks", "fuel_used", "elapsed", "interned_regexes",
+        "store_hits", "store_misses", "case_splits", "minterms",
     )
 
     #: dict-valued companions to the per-query delta fields: ``lifetime``
@@ -91,30 +97,55 @@ class SolverStats:
     #: counts and approximate bytes (levels, not deltas — see
     #: :meth:`repro.solver.lifecycle.EngineState.cache_sizes`).
     _DICT_FIELDS = ("lifetime", "caches")
+    _FIELD_SET = frozenset(_FIELDS)
 
-    __slots__ = _FIELDS + _DICT_FIELDS
+    #: the SMT-LIB script's ``:status`` annotation, set by
+    #: :func:`repro.smtlib.interp.run_script`
+    expected = None
 
     def __init__(self, lifetime=None, caches=None, **fields):
-        for name in self._FIELDS:
-            setattr(self, name, fields.pop(name, 0))
-        if fields:
-            raise TypeError("unknown stats fields: %s" % sorted(fields))
+        if not fields.keys() <= self._FIELD_SET:
+            raise TypeError("unknown stats fields: %s"
+                            % sorted(fields.keys() - self._FIELD_SET))
+        self.__dict__.update(fields)
         self.lifetime = lifetime if lifetime is not None else {}
         self.caches = caches if caches is not None else {}
+
+    @classmethod
+    def from_counts(cls, counts, lifetime=None, caches=None):
+        """A record from a field → value mapping whose keys are all
+        known fields.  Unchecked: this is the solver's per-query path,
+        where keyword unpacking would cost more than the counting."""
+        stats = cls(lifetime, caches)
+        stats.__dict__.update(counts)
+        return stats
+
+    def add(self, other):
+        """Add ``other``'s per-query fields into this record and return
+        it.  ``lifetime`` and ``caches`` are levels, not deltas, so they
+        take ``other``'s values instead of summing."""
+        self.__dict__.update(zip(
+            self._FIELDS, map(add, _read_fields(self), _read_fields(other))
+        ))
+        self.lifetime = other.lifetime
+        self.caches = other.caches
+        return self
 
     def to_dict(self):
         out = {name: getattr(self, name) for name in self._FIELDS}
         out["lifetime"] = dict(self.lifetime)
         out["caches"] = dict(self.caches)
+        if self.expected is not None:
+            out["expected"] = self.expected
         return out
 
     # -- mapping compatibility ---------------------------------------------
 
     def __getitem__(self, key):
-        if key in self._DICT_FIELDS:
+        if key in self._DICT_FIELDS or key in self._FIELDS:
             return getattr(self, key)
-        if key in self._FIELDS:
-            return getattr(self, key)
+        if key == "expected" and self.expected is not None:
+            return self.expected
         raise KeyError(key)
 
     def get(self, key, default=None):
@@ -152,6 +183,14 @@ class SolverStats:
             if getattr(self, name)
         )
         return "SolverStats(%s)" % busy
+
+
+# every field reads 0 until set: with class-level defaults, building a
+# record is one dict update, which the solver's per-query path relies on
+for _name in SolverStats._FIELDS:
+    setattr(SolverStats, _name, 0)
+del _name
+_read_fields = attrgetter(*SolverStats._FIELDS)
 
 
 class SolverResult:

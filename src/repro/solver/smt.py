@@ -20,7 +20,8 @@ from repro.obs.explain import SmtExplanation
 from repro.solver import formula as F
 from repro.solver.engine import RegexSolver
 from repro.solver.result import (
-    Budget, RESOURCE_ERRORS, SAT, SolverResult, UNKNOWN, UNSAT, error_info,
+    Budget, RESOURCE_ERRORS, SAT, SolverResult, SolverStats, UNKNOWN, UNSAT,
+    error_info,
 )
 
 
@@ -42,17 +43,16 @@ class SmtSolver:
 
     def solve(self, formula, budget=None):
         """Decide satisfiability; on SAT the result carries a model
-        mapping each variable to a witness string."""
+        mapping each variable to a witness string.
+
+        The result's :class:`SolverStats` is the sum of the regex
+        engine's per-query stats over the formula, plus
+        ``case_splits``."""
         events = self.obs.events
         events.emit("smt.start")
         result = self._solve_held(formula, budget)
-        if events.enabled:
-            stats = result.stats or {}
-            events.emit(
-                "smt.end", status=result.status,
-                case_splits=stats.get("case_splits", 0)
-                if isinstance(stats, dict) else 0,
-            )
+        events.emit("smt.end", status=result.status,
+                    case_splits=result.stats.case_splits)
         return result
 
     def _solve_held(self, formula, budget):
@@ -73,18 +73,19 @@ class SmtSolver:
         budget = budget or Budget()
         saw_unknown = False
         unknown_reason = None
-        case_splits = 0
+        stats = SolverStats()
         # when the regex engine records provenance, collect one entry
         # per certified per-variable sub-verdict; the Boolean front end
         # itself is outside the certificate trust boundary (DESIGN.md)
         branches = [] if getattr(self.engine, "explain", False) else None
         try:
             for literals in _disjuncts(F.nnf(formula)):
-                case_splits += 1
+                stats.case_splits += 1
                 self._c_case_splits.inc()
+                case = stats.case_splits - 1
                 with self._tracer.span("smt.case_split", literals=len(literals)):
                     outcome = self._solve_conjunct(
-                        literals, budget, case_splits - 1, branches
+                        literals, budget, stats, case, branches
                     )
                 if outcome is None:
                     saw_unknown = True
@@ -94,22 +95,15 @@ class SmtSolver:
                     if branches is not None:
                         explanation = SmtExplanation("sat", [
                             b for b in branches
-                            if b["case"] == case_splits - 1
+                            if b["case"] == case
                             and b["explanation"].kind == "sat"
                         ])
                     return SolverResult(
-                        SAT, model=outcome,
-                        stats={"case_splits": case_splits},
+                        SAT, model=outcome, stats=stats,
                         explanation=explanation,
                     )
-        except BudgetExceeded as exc:
-            return SolverResult(
-                UNKNOWN, reason=str(exc), stats={"case_splits": case_splits}
-            )
-        except UnsupportedError as exc:
-            return SolverResult(
-                UNKNOWN, reason=str(exc), stats={"case_splits": case_splits}
-            )
+        except (BudgetExceeded, UnsupportedError) as exc:
+            return SolverResult(UNKNOWN, reason=str(exc), stats=stats)
         except _InvalidWitness as exc:
             # the (pluggable) regex engine reported sat but its witness
             # fails validation against the very constraints it solved:
@@ -119,7 +113,7 @@ class SmtSolver:
                 UNKNOWN,
                 reason=str(exc),
                 error=error_info(exc),
-                stats={"case_splits": case_splits},
+                stats=stats,
             )
         except RESOURCE_ERRORS as exc:
             # NNF/DNF expansion or regex construction on pathologically
@@ -129,12 +123,12 @@ class SmtSolver:
                 UNKNOWN,
                 reason="%s during solving" % type(exc).__name__,
                 error=error_info(exc),
-                stats={"case_splits": case_splits},
+                stats=stats,
             )
         if saw_unknown:
             return SolverResult(
                 UNKNOWN, reason=unknown_reason or "incomplete branch",
-                stats={"case_splits": case_splits},
+                stats=stats,
             )
         explanation = None
         if branches is not None:
@@ -143,16 +137,16 @@ class SmtSolver:
                 b for b in branches if b["explanation"].kind == "unsat"
             ])
         return SolverResult(
-            UNSAT, stats={"case_splits": case_splits},
-            explanation=explanation,
+            UNSAT, stats=stats, explanation=explanation,
         )
 
     #: SMT-LIB-flavoured alias for :meth:`solve` (``check-sat``).
     check = solve
 
-    def _solve_conjunct(self, literals, budget, case=0, branches=None):
+    def _solve_conjunct(self, literals, budget, stats, case, branches):
         """One DNF branch.  Returns a model dict, False (branch unsat),
-        or None (branch undecided).  When ``branches`` is a list, the
+        or None (branch undecided).  Each per-variable query's stats
+        are added into ``stats``.  When ``branches`` is a list, the
         per-variable explanations produced by the regex engine are
         appended to it as ``{"case", "var", "explanation"}`` entries."""
         builder = self.builder
@@ -183,6 +177,8 @@ class SmtSolver:
         undecided = False
         for var, regex in constraints.items():
             result = self.engine.is_satisfiable(regex, budget)
+            if isinstance(result.stats, SolverStats):
+                stats.add(result.stats)
             if branches is not None and result.explanation is not None:
                 branches.append({
                     "case": case, "var": var,

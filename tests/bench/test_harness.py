@@ -131,3 +131,32 @@ def test_run_matrix_parallel_rejects_unknown_engine(builder, problems):
     bogus = Engine("no-such-engine", lambda b: None)
     with pytest.raises(KeyError, match="no-such-engine"):
         run_matrix([bogus], problems, builder, fuel=1000, seconds=1.0, jobs=2)
+
+
+def test_cell_counters_do_not_depend_on_order_or_jobs():
+    """A problem's counters are its own work: the sbd cell over the
+    first 12 regexlib_intersection problems reads the same forward and
+    reversed, serial and on two workers (the labeller's work and the
+    earlier problems' work on the shared builder stay out)."""
+    from repro.bench.engines import engine_by_name
+    from repro.bench.snapshot import aggregate_cells
+    from repro.bench.suites import label_problems, regexlib
+
+    def cell(reverse, jobs):
+        builder = RegexBuilder(IntervalAlgebra())
+        chosen = regexlib.generate_intersection(builder)[:12]
+        label_problems(builder, chosen)
+        if reverse:
+            chosen = chosen[::-1]
+        records = run_matrix([engine_by_name("sbd")], chosen, builder,
+                             fuel=20000, seconds=5.0, jobs=jobs)
+        counters = aggregate_cells(records, 5.0)[
+            "sbd/regexlib_intersection"]["counters"]
+        # cache.* are peak cache sizes: levels of the shared builder
+        return {k: v for k, v in counters.items()
+                if not k.startswith("cache.")}
+
+    forward = cell(False, 1)
+    assert forward["explored"] > 0 and forward["algebra_ops"] > 0
+    assert cell(True, 1) == forward
+    assert cell(False, 2) == forward

@@ -42,20 +42,22 @@ def test_aggregate_cells_median_p90_and_rates():
 
 
 def test_aggregate_cells_sums_counters_and_nested_metrics():
+    """Per-query fields sum; the nested ``caches`` levels fold as their
+    peak under ``cache.*``; the nested ``lifetime`` totals are dropped."""
     records = [
         rec("sbd", "norn", 0.01,
-            stats={"case_splits": 2, "metrics": {"solver.explored": 5}}),
+            stats={"case_splits": 2, "explored": 5,
+                   "lifetime": {"explored": 5},
+                   "caches": {"regex_nodes": 40}}),
         rec("sbd", "norn", 0.01,
-            stats={"case_splits": 3,
-                   "metrics": {"solver.explored": 7,
-                               "deriv.sizes": {"count": 1}}}),
+            stats={"case_splits": 3, "explored": 7,
+                   "lifetime": {"explored": 12},
+                   "caches": {"regex_nodes": 30}}),
     ]
     cell = aggregate_cells(records, 1.0)["sbd/norn_nb"]
-    assert cell["counters"]["case_splits"] == 5
-    assert cell["counters"]["solver.explored"] == 12
-    # histogram dicts (and the nested metrics dict itself) don't sum
-    assert "deriv.sizes" not in cell["counters"]
-    assert "metrics" not in cell["counters"]
+    assert cell["counters"] == {
+        "case_splits": 5, "explored": 12, "cache.regex_nodes": 40,
+    }
 
 
 def test_suite_key_splits_norn_by_group():

@@ -61,6 +61,20 @@ def test_per_query_stats_are_deltas_with_lifetime():
     )
 
 
+def test_registry_counts_only_its_own_solver_on_a_shared_algebra():
+    """Two solvers on one builder share one algebra; each registry adds
+    up its own queries' deltas, never the other solver's work."""
+    builder = RegexBuilder(IntervalAlgebra(127))
+    first = RegexSolver(builder)
+    second = RegexSolver(builder)
+    first.is_satisfiable(parse(builder, "(.*a.{3})&(.*b.{3})"))
+    result = second.is_satisfiable(parse(builder, "(a|b)*abb"))
+    snap = second.obs.metrics.snapshot()
+    assert snap["algebra.ops"] == result.stats.algebra_ops > 0
+    assert snap["algebra.sat_checks"] == result.stats.algebra_sat_checks
+    assert snap["solver.explored"] == result.stats.explored
+
+
 def test_stats_mapping_compat():
     stats = SolverStats(explored=3, sat_checks=2)
     assert stats["explored"] == 3

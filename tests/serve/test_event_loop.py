@@ -149,3 +149,26 @@ class TestLargeMessages:
         (worker,) = warm.worker_reports
         assert worker["store"]["hits"] == len(BIG_PATTERNS)
         assert worker["store"]["misses"] == 0
+
+
+class TestAcceptThread:
+    def _check_blocking_accept(self, daemon):
+        try:
+            # accept() blocks outright: no timeout wakes it to poll
+            assert daemon._sock.gettimeout() is None
+            assert daemon._accept_thread.is_alive()
+        finally:
+            daemon.stop()
+        # stop() shuts the listening socket down, ending the accept
+        assert not daemon._accept_thread.is_alive()
+
+    def test_unix_listener_blocks_and_stops(self, tmp_path):
+        self._check_blocking_accept(
+            start_daemon(str(tmp_path / "d.sock"))
+        )
+
+    def test_tcp_listener_blocks_and_stops(self):
+        daemon = SolverDaemon(host="127.0.0.1", port=0, workers=1,
+                              **BUDGET)
+        daemon.start()
+        self._check_blocking_accept(daemon)

@@ -1,14 +1,15 @@
 """TaskResult / BatchReport aggregation."""
 
-from repro.serve import BatchReport, TaskResult, merge_numeric
+from repro.serve import BatchReport, Job, TaskResult, merge_numeric, solve_batch
 
 
-def test_merge_numeric_sums_scalars_and_nested_metrics():
+def test_merge_numeric_sums_top_level_scalars_only():
     acc = {}
-    merge_numeric(acc, {"explored": 3, "metrics": {"a.b": 1}, "note": "x",
+    merge_numeric(acc, {"explored": 3, "lifetime": {"queries": 1},
+                        "caches": {"regex_nodes": 9}, "note": "x",
                         "flag": True})
-    merge_numeric(acc, {"explored": 4, "metrics": {"a.b": 2, "c": 5}})
-    assert acc == {"explored": 7, "metrics": {"a.b": 3, "c": 5}}
+    merge_numeric(acc, {"explored": 4, "lifetime": {"queries": 2}})
+    assert acc == {"explored": 7}
 
 
 def test_results_sorted_by_index():
@@ -54,3 +55,18 @@ def test_task_result_to_dict_omits_empty_fields():
     out = TaskResult(0, "a", "sat", witness="w").to_dict()
     assert out["witness"] == "w"
     assert "error" not in out and "stats" not in out and "model" not in out
+
+
+def test_batch_counters_sum_task_deltas_not_running_totals():
+    """Four pattern jobs on one persistent worker: the report adds up
+    each task's own work; the per-task running totals (``lifetime``)
+    and cache levels (``caches``) are not summed."""
+    patterns = ["(a|b)*abb", "a&b", "(ab){2,4}c", "~(a*)"]
+    jobs = [Job("p%d" % i, "pattern", p) for i, p in enumerate(patterns)]
+    report = solve_batch(jobs, workers=1, fuel=100000, seconds=5.0)
+    per_task = [r.stats for r in report.results]
+    assert [s["lifetime"]["queries"] for s in per_task] == [1, 2, 3, 4]
+    assert "lifetime" not in report.counters
+    assert "caches" not in report.counters
+    assert report.counters["explored"] == sum(s["explored"] for s in per_task)
+    assert report.counters["explored"] > 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from repro.regex import parse
 from repro.regex.semantics import Matcher
-from repro.solver import Budget, RegexSolver
+from repro.solver import Budget, RegexSolver, SolverStats
 from repro.solver.baselines import (
     AntimirovSolver, EagerAutomataSolver, MintermSolver,
 )
@@ -134,3 +134,22 @@ class TestMinterm:
         result = solver.is_satisfiable(r)
         assert result.is_sat
         assert bitset_matcher.matches(r, result.witness)
+
+
+@pytest.mark.parametrize("make", ALL_BASELINES)
+def test_baselines_report_solver_stats(bitset_builder, make):
+    """Every baseline returns the one per-query record, counting its
+    states in ``explored``."""
+    result = make(bitset_builder).is_satisfiable(
+        parse(bitset_builder, "(a|b)*abb&~(.*ba.*)")
+    )
+    assert isinstance(result.stats, SolverStats)
+    assert result.stats.explored > 0
+    assert result.stats.caches["regex_nodes"] > 0
+
+
+def test_minterm_baseline_reports_its_alphabet(bitset_builder):
+    result = MintermSolver(bitset_builder).is_satisfiable(
+        parse(bitset_builder, "(a|b)*abb")
+    )
+    assert result.stats.minterms >= 2

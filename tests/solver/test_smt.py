@@ -3,7 +3,7 @@
 import pytest
 
 from repro.regex import parse
-from repro.solver import Budget, SmtSolver
+from repro.solver import Budget, RegexSolver, SmtSolver, SolverStats
 from repro.solver import formula as F
 
 
@@ -178,3 +178,29 @@ class TestWitnessValidation:
         )
         assert result.is_sat
         assert result.model["x"] in ("a", "aa")
+
+
+def test_stats_sum_the_per_variable_queries(bitset_builder):
+    """The formula's SolverStats is the sum of the regex engine's
+    per-query stats, plus the DNF case splits."""
+    queries = []
+
+    class Recording(RegexSolver):
+        def is_satisfiable(self, regex, budget=None):
+            result = super().is_satisfiable(regex, budget)
+            queries.append(result.stats)
+            return result
+
+    solver = SmtSolver(bitset_builder, Recording(bitset_builder))
+    f = F.And((
+        F.Or((inre(bitset_builder, "x", "(ab)+&~(.*bb.*)"),
+              inre(bitset_builder, "x", "a&b"))),
+        inre(bitset_builder, "y", "(a|b)*abb"),
+    ))
+    result = solver.solve(f)
+    assert result.is_sat
+    assert isinstance(result.stats, SolverStats)
+    assert len(queries) == 2
+    assert result.stats.case_splits == 1
+    assert result.stats.explored == sum(q.explored for q in queries) > 0
+    assert result.stats.algebra_ops == sum(q.algebra_ops for q in queries)
