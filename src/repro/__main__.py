@@ -501,6 +501,8 @@ def main(argv=None):
                 % (dfa.steps, dfa.states_built, dfa.row_hits,
                    dfa.row_misses)
             )
+            out.append("dfa tables: step_entries=%d scan_entries=%d"
+                       % (dfa.step_entries, dfa.scan_entries))
             ratio = _hit_ratio(dfa.row_hits, dfa.row_misses)
             if ratio is not None:
                 out.append("cache hit ratio: %.1f%% (%d/%d row lookups)"

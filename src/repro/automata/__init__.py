@@ -8,7 +8,7 @@ from repro.automata.ops import (
     remove_epsilons,
 )
 from repro.automata.minimize import equivalent, minimize
-from repro.automata.eager import EagerSolver, eager_compile
+from repro.automata.eager import eager_compile
 from repro.automata.to_regex import to_regex
 
 __all__ = [
@@ -16,5 +16,5 @@ __all__ = [
     "remove_epsilons", "determinize", "complement", "product",
     "nfa_union", "nfa_concat", "nfa_star",
     "minimize", "equivalent",
-    "eager_compile", "EagerSolver", "to_regex",
+    "eager_compile", "to_regex",
 ]

@@ -11,10 +11,11 @@ compiling subterms and combining them with automaton operations:
 Everything is built *before* any question is asked — which is the
 point: on adversarial inputs the :class:`~repro.automata.sfa.
 StateBudget` blows before emptiness is ever checked, while the lazy
-derivative solver answers in a handful of states.
+derivative solver answers in a handful of states.  The solver over it is
+:class:`repro.solver.baselines.EagerAutomataSolver`.
 """
 
-from repro.errors import BudgetExceeded, UnsupportedError
+from repro.errors import UnsupportedError
 from repro.regex.ast import (
     COMPL, CONCAT, EMPTY, EPSILON, INF, INTER, LOOP, PRED, UNION,
 )
@@ -100,35 +101,3 @@ def _epsilon_sfa(algebra, budget):
     budget.charge()
     return SFA(algebra, 1, 0, {0}, {}, None, deterministic=True)
 
-
-class EagerSolver:
-    """Baseline satisfiability solver over eager automata.
-
-    Mirrors the legacy Z3 regex solver the paper replaced: convert the
-    whole constraint to an automaton with Boolean operations, then
-    check emptiness.  ``max_states`` converts state blowup into a
-    budget failure, the deterministic analogue of a timeout.
-    """
-
-    def __init__(self, builder, max_states=200000):
-        self.builder = builder
-        self.algebra = builder.algebra
-        self.max_states = max_states
-
-    def is_satisfiable(self, regex, budget=None):
-        from repro.solver.result import SAT, SolverResult, UNKNOWN, UNSAT
-
-        states = StateBudget(self.max_states)
-        try:
-            sfa = eager_compile(self.algebra, regex, states)
-            empty, witness = sfa.is_empty()
-        except BudgetExceeded as exc:
-            return SolverResult(UNKNOWN, reason=str(exc),
-                                stats={"states_created": states.created})
-        stats = {
-            "states_created": states.created,
-            "final_states": sfa.num_states,
-        }
-        if empty:
-            return SolverResult(UNSAT, stats=stats)
-        return SolverResult(SAT, witness=witness, stats=stats)

@@ -83,20 +83,35 @@ class RegexMatcher:
 
         Uses the union-of-restarts scan: the state is the (hash-consed)
         union of the derivatives of every live start position, with a
-        fresh copy of the regex injected at each step.
+        fresh copy of the regex injected at each step (a match may
+        begin at position i+1).  The DFA memoizes each scan step per
+        root, so a warm character is one table lookup; the hits are
+        added to the DFA's step and row-hit counters once per call.
         """
-        builder = self.builder
-        state = self.regex
-        if state.nullable:
+        regex = self.regex
+        if regex.nullable:
             return start
+        dfa = self.dfa
+        state = regex
+        chars = dfa.scan_row(regex, state)
+        hits = 0
+        end = None
         for i in range(start, len(text)):
-            stepped = self.dfa.step(state, text[i])
-            # inject a fresh start: a match may begin at position i+1
-            state = builder.union([stepped, self.regex])
+            char = text[i]
+            entry = chars.get(char)
+            if entry is None:
+                state = dfa.restart(regex, state, char)
+                chars = dfa.scan_row(regex, state)
+            else:
+                hits += 1
+                state, chars = entry
             if state.nullable:
                 # some started match just closed at i+1
-                return i + 1
-        return None
+                end = i + 1
+                break
+        dfa.steps += hits
+        dfa.row_hits += hits
+        return end
 
     def search(self, text, start=0):
         """Leftmost match (earliest start; among those, earliest end).
@@ -118,21 +133,45 @@ class RegexMatcher:
             if span is None:
                 return None
             return Match(text, span[0], span[1])
+        if self.regex.nullable:
+            return Match(text, start, start)
         bound = self._earliest_end(text, start)
         if bound is None:
             return None
-        builder = self.builder
+        root = self.dfa.step_row(self.regex)
         for i in range(start, bound + 1):
-            state = self.regex
-            if state.nullable:
-                return Match(text, i, i)
-            for j in range(i, len(text)):
-                state = self.dfa.step(state, text[j])
-                if state.nullable:
-                    return Match(text, i, j + 1)
-                if state is builder.empty:
-                    break
+            end = self._end_from(text, i, root)
+            if end is not None:
+                return Match(text, i, end)
         return None  # pragma: no cover - bound guarantees a match
+
+    def _end_from(self, text, i, chars):
+        """Earliest ``end`` with ``text[i:end]`` in the (non-nullable)
+        language, or None once the state dies.  ``chars`` is the
+        regex's step-table entry; steps are table lookups, with hits
+        counted once per call as in :meth:`_earliest_end`."""
+        state = self.regex
+        dfa = self.dfa
+        empty = self.builder.empty
+        hits = 0
+        end = None
+        for j in range(i, len(text)):
+            char = text[j]
+            entry = chars.get(char)
+            if entry is None:
+                state = dfa.step(state, char)
+                chars = dfa.step_row(state)
+            else:
+                hits += 1
+                state, chars = entry
+            if state.nullable:
+                end = j + 1
+                break
+            if state is empty:
+                break
+        dfa.steps += hits
+        dfa.row_hits += hits
+        return end
 
     def is_match(self, text):
         """True iff some substring of ``text`` matches."""

@@ -61,6 +61,7 @@ class _BaselineObsMixin:
         assertions above all) answer a typed unknown here, uniformly
         across the lineup — an incomplete engine is not a wrong one.
         """
+        sizes = None
         try:
             try:
                 result = self._is_satisfiable(regex, budget)
@@ -70,10 +71,10 @@ class _BaselineObsMixin:
                 )
             self._c_queries.inc()
             self._c_explored.inc(result.stats.explored)
-            result.stats.caches = self.state.cache_sizes()
+            result.stats.caches = sizes = self.state.cache_sizes()
             return result
         finally:
-            self.state.end_query(keep=(regex,))
+            self.state.end_query(keep=(regex,), sizes=sizes)
 
 
 class EagerAutomataSolver(_BaselineObsMixin):

@@ -109,8 +109,11 @@ class RegexSolver:
         self._c_witnesses = scope.counter("witnesses")
         self._h_query_states = scope.histogram("query_states")
         self._tracer = self.obs.tracer
-        #: states popped across all queries (plain int on the hot path)
+        #: states popped and queries answered across all queries (plain
+        #: ints on the hot path: registry counters are no-ops when
+        #: observability is disabled)
         self._explored_n = 0
+        self._queries_n = 0
         #: the cross-query compiled-fragment store (repro.solver.store)
         self.store = None
         #: node -> full transition rows instantiated from the store;
@@ -236,15 +239,18 @@ class RegexSolver:
         """
         events = self.obs.events
         if not events.enabled:
+            result = None
             try:
-                return self._is_satisfiable(regex, budget)
+                result = self._is_satisfiable(regex, budget)
+                return result
             finally:
-                self.state.end_query(keep=(regex,))
+                self._end_query(regex, result)
         # flight-recorder narration: one start/end event pair per query,
         # correlated by the hash-consed root's uid
         query = "uid:%d" % regex.uid
         events.emit("query.start", query=query)
         started = time.perf_counter()
+        result = None
         try:
             result = self._is_satisfiable(regex, budget)
         except BaseException as exc:
@@ -255,7 +261,7 @@ class RegexSolver:
             )
             raise
         finally:
-            self.state.end_query(keep=(regex,))
+            self._end_query(regex, result)
         stats = result.stats
         events.emit(
             "query.end", query=query, status=result.status,
@@ -265,9 +271,20 @@ class RegexSolver:
         )
         return result
 
+    def _end_query(self, regex, result):
+        """The engine state's query boundary, publishing the cache
+        sizes the query's stats already measured (before a store miss's
+        capture, whose round-trip parse may intern a few nodes that the
+        next boundary then counts)."""
+        stats = getattr(result, "stats", None)
+        self.state.end_query(
+            keep=(regex,), sizes=getattr(stats, "caches", None) or None,
+        )
+
     def _is_satisfiable(self, regex, budget):
         budget = budget or Budget()
         self._c_queries.inc()
+        self._queries_n += 1
         mark = self._mark(budget)
         if regex.has_look:
             # derivative exploration is positional-blind: compile the
@@ -554,7 +571,7 @@ class RegexSolver:
         deltas["fuel_used"] = budget.fuel_used - fuel_then
         deltas["elapsed"] = time.perf_counter() - started
         lifetime = dict(zip(_COUNTER_NAMES, now))
-        lifetime["queries"] = self._c_queries.value
+        lifetime["queries"] = self._queries_n
         lifetime["fuel_used"] = budget.fuel_used
         return SolverStats.from_counts(
             deltas, lifetime=lifetime, caches=self.state.cache_sizes(),

@@ -17,8 +17,10 @@ that state a managed resource:
   roots, pinned regexes and the builder's primordial nodes under
   subterm children, memoized derivative-tree leaves, graph successors
   and registered DFA-row targets; every table is then rebuilt keeping
-  only live entries.  Uids are never reused, so node identity stays
-  canonical (see DESIGN.md for the soundness argument).
+  only live entries (the DFAs' per-character step and scan tables are
+  dropped whole and refill from the surviving rows).  Uids are never
+  reused, so node identity stays canonical (see DESIGN.md for the
+  soundness argument).
 
 * **Policy** — :class:`CompactionPolicy` trips compaction when the
   total entry count crosses a watermark; :meth:`EngineState.end_query`
@@ -41,6 +43,7 @@ _BYTES_PER_MEMO = 90
 _BYTES_PER_VERTEX = 330
 _BYTES_PER_EDGE = 120
 _BYTES_PER_ROW = 180
+_BYTES_PER_TABLE_ENTRY = 110
 
 
 class CompactionPolicy:
@@ -168,17 +171,24 @@ class EngineState:
             )
         if self._dfas:
             sizes["dfa_rows"] = sum(len(d._rows) for d in self._dfas)
-            approx += sizes["dfa_rows"] * _BYTES_PER_ROW
+            sizes["dfa_step_entries"] = sum(d.step_entries for d in self._dfas)
+            sizes["dfa_scan_entries"] = sum(d.scan_entries for d in self._dfas)
+            approx += (
+                sizes["dfa_rows"] * _BYTES_PER_ROW
+                + (sizes["dfa_step_entries"] + sizes["dfa_scan_entries"])
+                * _BYTES_PER_TABLE_ENTRY
+            )
         sizes["entries_total"] = sum(
             v for k, v in sizes.items() if k != "graph_edges"
         )
         sizes["approx_bytes"] = approx
         return sizes
 
-    def publish_gauges(self):
-        """Push the current sizes into the ``cache.*`` gauges; returns
-        the sizes dict."""
-        sizes = self.cache_sizes()
+    def publish_gauges(self, sizes=None):
+        """Push the sizes into the ``cache.*`` gauges (measured now
+        unless given); returns the sizes dict."""
+        if sizes is None:
+            sizes = self.cache_sizes()
         if self.obs.metrics.enabled:
             for key, value in sizes.items():
                 self._scope.gauge(key).set(value)
@@ -186,10 +196,13 @@ class EngineState:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def end_query(self, keep=()):
+    def end_query(self, keep=(), sizes=None):
         """Query-boundary hook: publish gauges, then compact if the
-        policy's watermark tripped.  No-op while held."""
-        sizes = self.publish_gauges()
+        policy's watermark tripped.  No-op while held.  ``sizes`` are
+        this query's :meth:`cache_sizes` when the caller already
+        measured them, so the boundary does not measure twice; a
+        compaction re-measures after it runs."""
+        sizes = self.publish_gauges(sizes)
         if self.held or self.policy is None:
             return None
         if not self.policy.should_compact(sizes):
@@ -228,12 +241,14 @@ class EngineState:
                 lambda v: v.uid in live
             )
             retired += report["graph_vertices"]
-        rows = 0
+        rows = tables = 0
         for dfa in self._dfas:
+            tables += dfa.step_entries + dfa.scan_entries
             rows += dfa.compact(live)
         if self._dfas:
             report["dfa_rows"] = rows
-            retired += rows
+            report["dfa_table_entries"] = tables
+            retired += rows + tables
         report["retired"] = retired
         self._c_compactions.inc()
         self._c_retired.inc(retired)

@@ -61,6 +61,15 @@ def test_per_query_stats_are_deltas_with_lifetime():
     )
 
 
+def test_lifetime_queries_counted_with_observability_disabled():
+    builder = RegexBuilder(IntervalAlgebra(127))
+    solver = RegexSolver(builder, obs=Observability.disabled())
+    solver.is_satisfiable(parse(builder, "(a|b)*abb"))
+    result = solver.is_satisfiable(parse(builder, "a&b"))
+    assert result.stats.lifetime["queries"] == 2
+    assert result.stats.lifetime["explored"] >= 2
+
+
 def test_registry_counts_only_its_own_solver_on_a_shared_algebra():
     """Two solvers on one builder share one algebra; each registry adds
     up its own queries' deltas, never the other solver's work."""

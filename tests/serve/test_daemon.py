@@ -232,22 +232,36 @@ class TestBackpressure:
             degrade_queue=1000, degrade_backlog_s=1e9,
             client_capacity=1, client_refill_per_s=0.0,
         )
-        daemon = start_daemon(daemon_path, workers=1, admission=admission)
+        # the single worker is held by a hanging job until it is reaped
+        # (seconds + reap_grace after dispatch), so every submission
+        # below queues behind it whatever the reply latency
+        daemon = start_daemon(daemon_path, workers=1, admission=admission,
+                              allow_crash=True, seconds=1.5,
+                              reap_grace=0.5, retries=0)
+        holder = DaemonClient(daemon_path)
+        hog = DaemonClient(daemon_path)
+        polite = DaemonClient(daemon_path)
         try:
-            hog = DaemonClient(daemon_path)
-            polite = DaemonClient(daemon_path)
+            holder.submit("crash", "hang", job_id="hold")
+            assert holder.recv(timeout=30.0)["type"] == "queued"
             # hog spends its only token, then keeps submitting: the
             # rest are accepted degraded (plenty of queue headroom)
             for i in range(6):
                 hog.submit("pattern", "(a|b)*abb", job_id="hog-%d" % i)
-            acks = [hog.recv(timeout=30.0) for _ in range(6)]
-            degraded = [a for a in acks if a["type"] == "queued"
-                        and a["degraded"]]
+            order = []
+            acks = []
+            while len(acks) < 6:
+                reply = hog.recv(timeout=30.0)
+                if reply["type"] == "queued":
+                    acks.append(reply)
+                elif reply["type"] == "result":
+                    order.append(reply["id"])
+            degraded = [a for a in acks if a["degraded"]]
             assert len(degraded) == 5
             polite.submit("pattern", "a*b", job_id="polite-0")
-            order = []
+            assert not order, "the held worker ran a hog job: %r" % order
 
-            def drain(client, prefix, want):
+            def drain(client, want):
                 got = 0
                 while got < want:
                     reply = client.recv(timeout=60.0)
@@ -255,10 +269,8 @@ class TestBackpressure:
                         order.append(reply["id"])
                         got += 1
 
-            t_hog = threading.Thread(target=drain, args=(hog, "hog", 6))
-            t_polite = threading.Thread(
-                target=drain, args=(polite, "polite", 1)
-            )
+            t_hog = threading.Thread(target=drain, args=(hog, 6))
+            t_polite = threading.Thread(target=drain, args=(polite, 1))
             t_hog.start()
             t_polite.start()
             t_polite.join(timeout=60.0)
@@ -270,6 +282,7 @@ class TestBackpressure:
                 "degraded jobs were not deprioritized: %r" % (order,)
             )
         finally:
+            holder.close()
             hog.close()
             polite.close()
             daemon.stop()
@@ -303,11 +316,13 @@ class TestTrustBoundary:
             daemon.stop()
 
     def test_duplicate_inflight_id_is_rejected(self, daemon_path):
-        daemon = start_daemon(daemon_path)
+        # the first "dup" hangs until it is reaped, so it is certainly
+        # still in flight when the second submit is read
+        daemon = start_daemon(daemon_path, allow_crash=True, seconds=1.0,
+                              reap_grace=0.5, retries=0)
         try:
             with DaemonClient(daemon_path) as client:
-                client.submit("pattern", "[a-k]{2,9}&~(.*cc.*)",
-                              job_id="dup")
+                client.submit("crash", "hang", job_id="dup")
                 client.submit("pattern", "a*b", job_id="dup")
                 saw_error = False
                 resolved = 0
@@ -315,6 +330,7 @@ class TestTrustBoundary:
                     reply = client.recv(timeout=30.0)
                     if reply["type"] == "error":
                         assert "in flight" in reply["message"]
+                        assert not resolved, "error after the result"
                         saw_error = True
                     elif reply["type"] == "result":
                         resolved += 1

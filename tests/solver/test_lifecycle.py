@@ -83,6 +83,64 @@ class TestAccounting:
             pass
         assert state.cache_sizes()["dfa_rows"] == len(dfa._rows) > 0
 
+    def test_dfa_step_and_scan_tables_accounted(self, builder):
+        state = EngineState(builder)
+        dfa = LazyDfa(builder, state=state)
+        matcher = RegexMatcher(builder, parse(builder, "(ab)+c"), dfa=dfa,
+                               state=state)
+        assert matcher.search("xxababcab").span() == (2, 7)
+        sizes = state.cache_sizes()
+        assert sizes["dfa_step_entries"] == dfa.step_entries > 0
+        assert sizes["dfa_scan_entries"] == dfa.scan_entries > 0
+        assert sizes["entries_total"] == sum(
+            v for k, v in sizes.items()
+            if k not in ("graph_edges", "entries_total", "approx_bytes"))
+        report = state.compact()
+        assert report["dfa_table_entries"] == (
+            sizes["dfa_step_entries"] + sizes["dfa_scan_entries"])
+        sizes = state.cache_sizes()
+        assert sizes["dfa_step_entries"] == sizes["dfa_scan_entries"] == 0
+        assert dfa.step_row(matcher.regex) == {}
+        assert dfa.scan_row(matcher.regex, matcher.regex) == {}
+        # the tables refill lazily from the surviving rows
+        assert matcher.search("xxababcab").span() == (2, 7)
+        assert state.cache_sizes()["dfa_scan_entries"] > 0
+
+    def test_cache_sizes_measured_once_per_query(self, builder,
+                                                 monkeypatch):
+        solver = RegexSolver(builder)
+        calls = []
+        measure = solver.state.cache_sizes
+
+        def counting():
+            calls.append(1)
+            return measure()
+
+        monkeypatch.setattr(solver.state, "cache_sizes", counting)
+        result = solver.is_satisfiable(parse(builder, "a*b"))
+        assert len(calls) == 1
+        snapshot = solver.obs.metrics.snapshot()
+        assert snapshot["cache.entries_total"] == \
+            result.stats.caches["entries_total"]
+
+    def test_compaction_remeasures_after_it_runs(self, builder,
+                                                monkeypatch):
+        solver = RegexSolver(builder, compaction=CompactionPolicy(
+            max_entries=1, min_retained=0))
+        solver.is_satisfiable(parse(builder, "(ab|cd)*ef"))
+        calls = []
+        measure = solver.state.cache_sizes
+
+        def counting():
+            calls.append(1)
+            return measure()
+
+        monkeypatch.setattr(solver.state, "cache_sizes", counting)
+        result = solver.is_satisfiable(parse(builder, "~(a*)&[a-c]{2,5}"))
+        assert len(calls) == 2
+        after = solver.obs.metrics.snapshot()["cache.entries_total"]
+        assert after < result.stats.caches["entries_total"]
+
 
 class TestCompaction:
     def test_compact_retires_dead_queries(self, builder):

@@ -182,6 +182,14 @@ def test_match_stats_prints_dfa_row_ratio(capsys):
     assert "cache hit ratio: 75.0% (6/8 row lookups)" in out
 
 
+def test_match_stats_prints_table_entries(capsys):
+    status, out = run(capsys, "--ascii", "--stats", "match", "(ab)*c",
+                      "xxababcab")
+    assert status == 0
+    assert "search: span=(2, 7)" in out
+    assert "dfa tables: step_entries=4 scan_entries=4" in out
+
+
 def flight_batch(capsys, tmp_path):
     jsonl = tmp_path / "jobs.jsonl"
     jsonl.write_text(
